@@ -12,6 +12,14 @@ namespace {
 // The local "ejection" output is an infinite sink; its credits start at a
 // value no run can exhaust.
 constexpr std::uint32_t kLocalCredits = 1u << 30;
+
+// Runs in the member-initializer list, before any per-unit vector is
+// sized from the config.
+const RouterConfig& checked(const RouterConfig& config) {
+  const std::string error = config.validate();
+  WS_CHECK_MSG(error.empty(), error.c_str());
+  return config;
+}
 }  // namespace
 
 void RouterEnv::send_signal(NodeId, Direction, std::uint32_t, bool) {
@@ -20,7 +28,7 @@ void RouterEnv::send_signal(NodeId, Direction, std::uint32_t, bool) {
 
 Router::Router(NodeId id, const RouterConfig& config)
     : id_(id),
-      config_(config),
+      config_(checked(config)),
       credit_flow_(config.flow_control == FlowControl::kCredit &&
                    config.buffer_model == BufferModel::kFinite),
       onoff_flow_(config.flow_control == FlowControl::kOnOff &&
@@ -30,25 +38,33 @@ Router::Router(NodeId id, const RouterConfig& config)
       off_sent_(kNumDirections * config.num_vcs, 0),
       peer_on_(kNumDirections * config.num_vcs, 1),
       sa_pointer_(kNumDirections, 0) {
-  WS_CHECK(config.num_vcs >= 1);
-  WS_CHECK_MSG(config.buffer_depth >= 1,
-               "buffer_depth 0 deadlocks every flow-control scheme");
-  WS_CHECK_MSG(kNumDirections * config.num_vcs <= 64,
-               "pending bitmasks hold at most 64 port/VC units");
-  if (onoff_flow_) {
-    WS_CHECK_MSG(config.on_low >= 1 && config.on_low <= config.on_high &&
-                     config.on_high <= config.buffer_depth,
-                 "on/off watermarks must satisfy "
-                 "1 <= on_low <= on_high <= buffer_depth");
-  }
   const std::size_t requesters = inputs_.size();
   for (std::uint32_t i = 0; i < outputs_.size(); ++i) {
     OutputVc& ov = outputs_[i];
     ov.credits = unit_direction(i) == Direction::kLocal ? kLocalCredits
                                                         : config.buffer_depth;
     ov.arbiter = make_arbiter(config.arbiter, requesters);
-    WS_CHECK_MSG(ov.arbiter != nullptr, "unknown router arbiter");
   }
+}
+
+std::string RouterConfig::validate() const {
+  if (num_vcs < 1) return "num_vcs must be >= 1";
+  // Division, not multiplication: a huge num_vcs must not wrap around.
+  if (num_vcs > 64 / kNumDirections)
+    return "num_vcs must be <= " + std::to_string(64 / kNumDirections) +
+           " (pending bitmasks hold at most 64 port/VC units)";
+  if (buffer_depth < 1)
+    return "buffer_depth 0 deadlocks every flow-control scheme";
+  if (flow_control == FlowControl::kOnOff &&
+      buffer_model == BufferModel::kFinite &&
+      !(on_low >= 1 && on_low <= on_high && on_high <= buffer_depth))
+    return "on/off watermarks must satisfy "
+           "1 <= on_low <= on_high <= buffer_depth (got on_low " +
+           std::to_string(on_low) + ", on_high " + std::to_string(on_high) +
+           ", buffer_depth " + std::to_string(buffer_depth) + ")";
+  if (make_arbiter(arbiter, 1) == nullptr)
+    return "unknown router arbiter '" + arbiter + "'";
+  return {};
 }
 
 void Router::save_state(SnapshotWriter& w) const {

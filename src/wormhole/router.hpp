@@ -79,6 +79,13 @@ struct RouterConfig {
   /// the sparse pipeline is verified against, mirroring
   /// NetworkConfig::dense_tick one level up.
   bool dense_pipeline = false;
+
+  /// The first constraint this config violates, as a one-line message,
+  /// or empty when a Router can be built from it.  Watermarks are checked
+  /// as given, so on/off configs must carry resolved values (the Network
+  /// resolves the 0 = auto sentinels; NetworkConfig::validate checks the
+  /// resolved config).
+  [[nodiscard]] std::string validate() const;
 };
 
 /// Callbacks the router needs from its surrounding network.

@@ -279,3 +279,72 @@ TEST(Patterns, HotspotConcentratesTraffic) {
 
 }  // namespace
 }  // namespace wormsched::wormhole
+
+namespace wormsched::wormhole {
+namespace {
+
+// NetworkConfig::validate is the one config check: the constructors
+// assert it, the CLI prints it.  Each violation is reported on its own.
+TEST(NetworkConfigValidate, ReportsEachViolation) {
+  EXPECT_EQ(NetworkConfig{}.validate(), "");
+  const auto error_with = [](auto&& mutate) {
+    NetworkConfig config;
+    mutate(config);
+    return config.validate();
+  };
+  EXPECT_EQ(error_with([](NetworkConfig& c) { c.router.num_vcs = 0; }),
+            "num_vcs must be >= 1");
+  EXPECT_NE(error_with([](NetworkConfig& c) { c.router.num_vcs = 13; })
+                .find("num_vcs must be <= 12"),
+            std::string::npos);
+  EXPECT_EQ(error_with([](NetworkConfig& c) { c.router.num_vcs = 12; }), "");
+  EXPECT_EQ(error_with([](NetworkConfig& c) { c.router.buffer_depth = 0; }),
+            "buffer_depth 0 deadlocks every flow-control scheme");
+  EXPECT_EQ(error_with([](NetworkConfig& c) { c.router.arbiter = "nosuch"; }),
+            "unknown router arbiter 'nosuch'");
+  EXPECT_EQ(error_with([](NetworkConfig& c) { c.link_latency = 0; }),
+            "link_latency must be >= 1");
+  EXPECT_EQ(error_with([](NetworkConfig& c) { c.shards = 0; }),
+            "shards must be >= 1");
+  EXPECT_EQ(error_with([](NetworkConfig& c) { c.threads = 0; }),
+            "threads must be >= 1");
+  EXPECT_EQ(error_with([](NetworkConfig& c) {
+              c.topo = TopologySpec::torus(4, 4);
+              c.router.num_vcs = 1;
+            }),
+            "torus requires >= 2 VC classes (dateline rule)");
+  EXPECT_EQ(error_with([](NetworkConfig& c) {
+              c.routing = NetworkConfig::Routing::kUpDownAdaptive;
+            }),
+            "up/down adaptive routing is fat-tree-only");
+  EXPECT_EQ(error_with([](NetworkConfig& c) {
+              c.topo = TopologySpec::fat_tree(4);
+              c.routing = NetworkConfig::Routing::kWestFirst;
+            }),
+            "west-first routing is mesh-only");
+}
+
+// On/off watermarks are checked as the Network will resolve them: an
+// explicit on_low above the auto on_high is caught before construction.
+TEST(NetworkConfigValidate, ChecksResolvedWatermarks) {
+  NetworkConfig config;
+  config.router.flow_control = FlowControl::kOnOff;
+  config.router.buffer_depth = 4;
+  EXPECT_EQ(config.validate(), "");  // auto: high 3, low 2
+  config.router.on_low = 4;          // > auto high 3
+  EXPECT_NE(config.validate().find("1 <= on_low <= on_high <= buffer_depth"),
+            std::string::npos);
+  config.router.buffer_model = BufferModel::kInfinite;  // no watermarks
+  EXPECT_EQ(config.validate(), "");
+}
+
+TEST(NetworkConfigValidateDeathTest, ConstructorsAssertIt) {
+  NetworkConfig config;
+  config.router.arbiter = "nosuch";
+  EXPECT_DEATH(Network{config}, "unknown router arbiter 'nosuch'");
+  EXPECT_DEATH(Router(NodeId(0), config.router),
+               "unknown router arbiter 'nosuch'");
+}
+
+}  // namespace
+}  // namespace wormsched::wormhole
