@@ -1,20 +1,28 @@
-// Differential + fuzz coverage for the sharded multi-threaded tick.
+// Differential + fuzz coverage for the tick kernel across shard counts.
 //
 // NetworkConfig::{shards, threads} promise results bit-identical to the
-// serial kernel: same packets, same delivery cycles, same flit counts,
-// same latency statistics (down to floating-point summation order), and
-// the same auditor verdicts.  This suite drives the promise across shard
-// geometries (including shards > routers, degenerate 1x1 and 1xN meshes,
-// and torus wrap links that cross shard boundaries), the threads < shards
-// oversubscription path, the single-threaded staging path (threads = 1,
-// shards > 1), and a 200-seed faulted + unfaulted fuzz corpus.
+// same kernel run with 1 shard: same packets, same delivery cycles, same
+// flit counts, same latency statistics (down to floating-point summation
+// order), and the same auditor verdicts.  This suite drives the promise
+// across shard geometries (including shards > routers, degenerate 1x1
+// and 1xN meshes, and torus wrap links that cross shard boundaries), the
+// threads < shards oversubscription path, the single-threaded path over
+// many shards (threads = 1, shards > 1), traced and perf-counted runs at
+// --threads 4 (compute then runs inline on the caller), and a 200-seed
+// faulted + unfaulted fuzz corpus.  The 1-shard runs themselves are
+// pinned against history by kernel_digest_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <initializer_list>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "metrics/perf_counters.hpp"
+#include "obs/trace_export.hpp"
+#include "obs/trace_sink.hpp"
 #include "sim/engine.hpp"
 #include "validate/faults.hpp"
 #include "validate/network_auditor.hpp"
@@ -44,8 +52,15 @@ struct FabricRun {
   double latency_max = 0.0;
 };
 
+/// Optional single-threaded instruments attached for a run's duration.
+struct Instruments {
+  obs::TraceSink* trace = nullptr;
+  metrics::PerfCounters* perf = nullptr;
+};
+
 FabricRun run_fabric(TopologySpec topo, ShardedMode mode, std::uint64_t seed,
-                     FaultSpec spec, Cycle inject_until) {
+                     FaultSpec spec, Cycle inject_until,
+                     Instruments instruments = {}) {
   NetworkConfig config;
   config.topo = topo;
   config.router.num_vcs = 2;  // torus-legal everywhere, same in every run
@@ -59,6 +74,8 @@ FabricRun run_fabric(TopologySpec topo, ShardedMode mode, std::uint64_t seed,
     config.faults = &*faults;
   }
   Network net(config);
+  net.set_trace_sink(instruments.trace);
+  net.set_perf_counters(instruments.perf);
   AuditLog log(AuditLog::Mode::kCount);
   validate::NetworkAuditor auditor(validate::NetworkAuditorConfig{}, log);
   net.attach_observer(&auditor);
@@ -113,6 +130,7 @@ void expect_same_run(const FabricRun& ref, const FabricRun& other,
 void expect_sharded_matches_serial(TopologySpec topo, std::uint64_t seed,
                                    const FaultSpec& spec, Cycle inject_until,
                                    std::initializer_list<ShardedMode> modes) {
+  // "serial" is the 1-shard, 1-thread run of the same kernel.
   const FabricRun serial =
       run_fabric(topo, ShardedMode{1, 1}, seed, spec, inject_until);
   EXPECT_GT(serial.delivered.size(), 0u);
@@ -149,6 +167,7 @@ TEST(ShardedTick, LanesClampToShards) {
   EXPECT_EQ(net.tick_lanes(), 2u);
 }
 
+// One shard domain is one lane: no worker team, compute on the caller.
 TEST(ShardedTick, SingleShardStaysSerial) {
   NetworkConfig config;
   config.topo = TopologySpec::mesh(4, 4);
@@ -159,7 +178,7 @@ TEST(ShardedTick, SingleShardStaysSerial) {
   EXPECT_EQ(net.tick_lanes(), 1u);  // no team is built for one shard
 }
 
-// A 1x1 mesh: every shard request collapses to one serial shard, and a
+// A 1x1 mesh: every shard request collapses to one shard, and a
 // packet whose source is its destination must still flow NIC -> router ->
 // ejection.
 TEST(ShardedTick, OneByOneMeshDeliversLocally) {
@@ -188,12 +207,12 @@ TEST(ShardedTick, OneByOneMeshDeliversLocally) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: sharded == serial, bit for bit.
+// Differential: N shards == 1 shard, bit for bit.
 
 TEST(ShardedTick, MeshMatchesSerialAcrossGeometries) {
   // 4x4 mesh, no faults: even split, uneven split (16 % 5 != 0), the
-  // threads < shards oversubscription path, the single-threaded staging
-  // path, and the shards > routers clamp.
+  // threads < shards oversubscription path, one thread over four shards,
+  // and the shards > routers clamp.
   expect_sharded_matches_serial(TopologySpec::mesh(4, 4), /*seed=*/11,
                                 FaultSpec{}, /*inject_until=*/1200,
                                 {ShardedMode{2, 2}, ShardedMode{4, 4},
@@ -234,7 +253,7 @@ TEST(ShardedTick, FaultedTorusMatchesSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// 200-seed fuzz corpus: serial vs sharded, rotating fault presets (the
+// 200-seed fuzz corpus: 1 shard vs N shards, rotating fault presets (the
 // same rotation the pipeline fuzz block uses) and shard geometries.
 
 FaultSpec preset_for(std::uint64_t seed) {
@@ -270,7 +289,7 @@ TEST_P(ShardedFuzzTest, ShardedAndSerialAgree) {
   const std::uint64_t seed = GetParam();
   const FaultSpec spec = preset_for(seed);
   // Rotate geometry with the seed so the corpus covers even splits,
-  // uneven splits, oversubscription, and the serial staging path.
+  // uneven splits, oversubscription, and one thread over many shards.
   static constexpr ShardedMode kModes[] = {
       ShardedMode{2, 2}, ShardedMode{4, 4}, ShardedMode{3, 5},
       ShardedMode{1, 4}, ShardedMode{2, 16},
@@ -296,6 +315,64 @@ TEST_P(ShardedFuzzTest, ShardedAndSerialAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedFuzzTest,
                          ::testing::Range<std::uint64_t>(1000, 1200));
+
+// ---------------------------------------------------------------------------
+// Instruments at --threads 4: a trace sink or perf counters keep compute
+// on the caller thread, so the same kernel stays traceable and countable
+// at any thread count without changing a result.
+
+std::string traced_events(ShardedMode mode, FabricRun* run) {
+  obs::TraceSink::Options options;
+  options.capacity = std::size_t{1} << 20;  // keep every event
+  obs::TraceSink sink(options);
+  *run = run_fabric(TopologySpec::mesh(8, 8), mode, /*seed=*/17,
+                    FaultSpec::chaos(0), /*inject_until=*/1200,
+                    Instruments{&sink, nullptr});
+  EXPECT_EQ(sink.dropped(), 0u);
+  EXPECT_GT(sink.count(obs::EventKind::kFlitEject), 0u);
+  EXPECT_GT(sink.count(obs::EventKind::kRouterStall), 0u);
+  EXPECT_GT(sink.count(obs::EventKind::kFaultLinkStall), 0u);
+  EXPECT_GT(sink.count(obs::EventKind::kFaultCreditHold), 0u);
+  std::ostringstream json;
+  obs::write_chrome_trace(json, sink);
+  return json.str();
+}
+
+TEST(ShardedTick, TracedFaultedRunIsIdenticalAtFourThreads) {
+  FabricRun one;
+  FabricRun four;
+  const std::string one_thread = traced_events(ShardedMode{1, 1}, &one);
+  const std::string four_threads = traced_events(ShardedMode{4, 4}, &four);
+  EXPECT_EQ(one_thread.size(), four_threads.size());
+  EXPECT_TRUE(one_thread == four_threads)
+      << "the --threads 4 event stream differs from --threads 1";
+  expect_same_run(one, four, "traced threads=4");
+  // Tracing changes no result either.
+  expect_same_run(one,
+                  run_fabric(TopologySpec::mesh(8, 8), ShardedMode{4, 4},
+                             /*seed=*/17, FaultSpec::chaos(0),
+                             /*inject_until=*/1200),
+                  "untraced threads=4");
+}
+
+TEST(ShardedTick, PerfCountersAtFourThreadsCountEveryStage) {
+  if (!metrics::kPerfCountersCompiled)
+    GTEST_SKIP() << "built without WORMSCHED_PERF_COUNTERS";
+  metrics::PerfCounters counters;
+  const FabricRun counted =
+      run_fabric(TopologySpec::mesh(8, 8), ShardedMode{4, 4}, /*seed=*/17,
+                 FaultSpec::chaos(0), /*inject_until=*/1200,
+                 Instruments{nullptr, &counters});
+  const FabricRun plain =
+      run_fabric(TopologySpec::mesh(8, 8), ShardedMode{4, 4}, /*seed=*/17,
+                 FaultSpec::chaos(0), /*inject_until=*/1200);
+  expect_same_run(plain, counted, "perf-counted threads=4");
+  for (std::size_t i = 0; i < metrics::kNumStages; ++i) {
+    const auto stage = static_cast<metrics::Stage>(i);
+    EXPECT_GT(counters.total(stage).ticks, 0u) << metrics::stage_name(stage);
+    EXPECT_GT(counters.total(stage).calls, 0u) << metrics::stage_name(stage);
+  }
+}
 
 }  // namespace
 }  // namespace wormsched::wormhole
