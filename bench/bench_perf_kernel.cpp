@@ -189,10 +189,10 @@ double run_sweep(std::size_t seeds, std::size_t jobs, Cycle horizon) {
 
 // One leg of the threads-scaling sweep: a dim x dim mesh under uniform
 // traffic, ticked with `threads` worker threads over `threads` shard
-// domains (threads == 1 is the serial kernel).  Uniform traffic keeps
-// every shard busy, which is what a scaling measurement needs; min-of-2
-// repetitions bounds scheduler noise without doubling the bench cost on
-// the big mesh.
+// domains (threads == 1 is the one-shard, one-lane tick).  Uniform
+// traffic keeps every shard busy, which is what a scaling measurement
+// needs; min-of-2 repetitions bounds scheduler noise without doubling the
+// bench cost on the big mesh.
 NetworkRun run_scaling(Cycle inject_cycles, std::uint32_t dim,
                        std::uint32_t threads) {
   NetworkScenarioConfig config;
@@ -645,7 +645,7 @@ int main(int argc, char** argv) {
       sweep_parallel > 0.0 ? sweep_serial / sweep_parallel : 0.0;
 
   // Threads-scaling sweep for the sharded network tick.  The 1-thread
-  // leg is the serial kernel; every sharded leg must reproduce it
+  // leg is the one-shard tick; every sharded leg must reproduce it
   // flit for flit (the bench double-checks what the 200-seed fuzz suite
   // already proves, here at mesh16x16/mesh32x32 scale).
   constexpr std::uint32_t kScalingDims[] = {16, 32};
@@ -662,7 +662,7 @@ int main(int argc, char** argv) {
   if (!scaling_identical) {
     std::fprintf(stderr,
                  "FATAL: sharded threads-scaling runs diverged from the "
-                 "serial kernel\n");
+                 "1-thread run\n");
     return 1;
   }
   // On a single hardware thread the sharded legs measure oversubscription,

@@ -1,12 +1,12 @@
-// Balanced contiguous partitioning for the sharded network tick.
+// Balanced contiguous partitioning for the network tick's shard domains.
 //
-// The sharded tick assigns each router to exactly one shard domain and
-// commits cross-shard traffic in shard-ascending order.  Determinism
-// rests on the ranges being CONTIGUOUS and ASCENDING: the serial kernel
-// pushes wire entries in router-ascending order (routers tick ascending,
-// each port walk is ascending), so concatenating per-shard send queues
-// shard by shard reproduces the serial FIFO contents byte for byte.  Any
-// other assignment (round-robin, hash) would break that equivalence.
+// The tick assigns each router to exactly one shard domain and commits
+// cross-shard traffic in shard-ascending order.  Determinism rests on the
+// ranges being CONTIGUOUS and ASCENDING: each shard stages wire entries in
+// router-ascending order (routers tick ascending, each port walk is
+// ascending), so concatenating per-shard send queues shard by shard gives
+// the same FIFO contents byte for byte at every shard count.  Any other
+// assignment (round-robin, hash) would break that equivalence.
 #pragma once
 
 #include <algorithm>
