@@ -17,17 +17,12 @@
 // produced, in the file's "<name> <hex>" line format.
 #include <gtest/gtest.h>
 
-#include <cinttypes>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/snapshot.hpp"
+#include "golden_digest.hpp"
 #include "harness/checkpoint.hpp"
 #include "harness/network_sweep.hpp"
 #include "validate/faults.hpp"
@@ -40,29 +35,12 @@ using wormhole::DeliveredPacket;
 using wormhole::FlowControl;
 using wormhole::NetworkConfig;
 using wormhole::TopologySpec;
+using wormhole::test::Fnv1a64;
+using wormhole::test::hex;
 
 constexpr std::uint64_t kSeed = 21;
 constexpr Cycle kInjectUntil = 600;
 constexpr Cycle kSplitCycle = 300;  // mid-injection
-
-class Fnv1a64 {
- public:
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xFFu;
-      hash_ *= 0x100000001B3ull;
-    }
-  }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ull;
-};
 
 struct DigestCase {
   const char* name;
@@ -91,16 +69,7 @@ NetworkScenarioConfig scenario_for(const DigestCase& c, std::uint32_t threads) {
 std::uint64_t digest(const std::vector<DeliveredPacket>& log,
                      const NetworkScenarioResult& result) {
   Fnv1a64 h;
-  h.u64(log.size());
-  for (const DeliveredPacket& p : log) {
-    h.u64(p.id.value());
-    h.u64(p.flow.value());
-    h.u64(p.source.value());
-    h.u64(p.dest.value());
-    h.u64(static_cast<std::uint64_t>(p.length));
-    h.u64(p.created);
-    h.u64(p.delivered);
-  }
+  wormhole::test::hash_delivered(h, log);
   h.f64(result.latency.mean());
   h.f64(result.latency.min());
   h.f64(result.latency.max());
@@ -143,27 +112,6 @@ DigestRun run_split(const DigestCase& c) {
           result.audit_violations};
 }
 
-/// "<name> <16 hex digits>" per line; '#' starts a comment line.
-std::map<std::string, std::uint64_t> load_goldens() {
-  std::map<std::string, std::uint64_t> goldens;
-  std::ifstream in(WS_KERNEL_DIGESTS);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string name;
-    std::string hex;
-    if (fields >> name >> hex) goldens[name] = std::stoull(hex, nullptr, 16);
-  }
-  return goldens;
-}
-
-std::string hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-  return buf;
-}
-
 using Routing = NetworkConfig::Routing;
 constexpr FlowControl kCredit = FlowControl::kCredit;
 constexpr FlowControl kOnOff = FlowControl::kOnOff;
@@ -201,7 +149,8 @@ class KernelDigestTest : public ::testing::TestWithParam<DigestCase> {};
 
 TEST_P(KernelDigestTest, EveryThreadCountAndRestoreMatchesGolden) {
   const DigestCase& c = GetParam();
-  const auto goldens = load_goldens();
+  // One "<config> <16 hex digits>" line per config.
+  const auto goldens = wormhole::test::load_goldens(WS_KERNEL_DIGESTS);
   const auto it = goldens.find(c.name);
   std::vector<std::pair<std::string, DigestRun>> runs;
   for (const std::uint32_t threads : {1u, 2u, 4u})
@@ -211,10 +160,10 @@ TEST_P(KernelDigestTest, EveryThreadCountAndRestoreMatchesGolden) {
   for (const auto& [label, run] : runs) {
     EXPECT_GT(run.delivered_packets, 0u) << label;
     EXPECT_EQ(run.audit_violations, 0u) << label;
-    ASSERT_NE(it, goldens.end())
+    ASSERT_TRUE(it != goldens.end() && it->second.size() == 1)
         << "no golden for this config; this run produced:\n"
         << c.name << " " << hex(run.digest);
-    EXPECT_EQ(hex(run.digest), hex(it->second))
+    EXPECT_EQ(hex(run.digest), it->second.front())
         << label << " produced:\n"
         << c.name << " " << hex(run.digest);
   }
