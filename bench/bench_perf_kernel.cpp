@@ -7,14 +7,11 @@
 //   2. mesh8x8-hotspot — the wormhole substrate with the hot ejection
 //      port driven just past saturation (0.5 * rate * 64 nodes * 6.5
 //      mean flits ~ 1.25 flits/cycle at the default --hotspot-rate),
-//      measured three ways: the legacy dense tick-everything loop, the
-//      active set with the dense full-scan router pipeline (the previous
-//      baseline), and the active set with the bitmask-sparse router
-//      pipeline (the production configuration), plus two audited legs on
-//      the production configuration — the full-rescan auditor (the
-//      pre-incremental baseline) and the incremental dirty-set auditor —
-//      giving the audited-vs-unaudited overhead and the incremental
-//      speedup.  All runs are checked flit-for-flit identical; a final
+//      measured unaudited and with two auditors — the full-rescan auditor
+//      (the pre-incremental baseline) and the incremental dirty-set
+//      auditor — giving the audited-vs-unaudited overhead and the
+//      incremental speedup.  All runs are checked flit-for-flit
+//      identical; a final
 //      instrumented run (never timed against the others) attaches the
 //      per-stage perf counters plus the incremental auditor and yields
 //      the stage breakdown with the observer share;
@@ -41,7 +38,7 @@
 //      is packet-set equality (same delivered packets and flits), not
 //      cycle identity.
 // Prints an ASCII table and writes the machine-readable BENCH_perf.json
-// (schema wormsched-perf-v7) that reproduce.sh copies to the repo root.
+// (schema wormsched-perf-v8) that reproduce.sh copies to the repo root.
 // v2 added a provenance block — jobs, compiler, build type, git SHA; v3
 // added the pipeline split, the stage breakdown and the sweep skip flag;
 // v4 added the audited legs (audited/unaudited cycles_per_sec,
@@ -51,7 +48,9 @@
 // leg; v6 adds the flow_scaling block and the threads_scaling `forced`
 // annotation (single-hardware-thread sharding measures oversubscription,
 // not scaling — CI's ratio floors must not fire on that noise); v7 adds
-// the flow_control block (credit vs on/off ns/flit on the hotspot point).
+// the flow_control block (credit vs on/off ns/flit on the hotspot point);
+// v8 drops the dense-tick and dense-pipeline hotspot legs with their
+// kernel_speedup / pipeline_speedup ratios (those paths no longer exist).
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -120,8 +119,6 @@ struct NetworkRun {
 };
 
 struct HotspotMode {
-  bool dense_tick = false;
-  bool dense_pipeline = false;
   metrics::PerfCounters* perf_counters = nullptr;
   bool audit = false;
   validate::AuditMode audit_mode = validate::AuditMode::kIncremental;
@@ -133,8 +130,6 @@ NetworkRun run_hotspot(Cycle inject_cycles, double rate,
                        const HotspotMode& mode) {
   NetworkScenarioConfig config;
   config.network.topo = wormhole::TopologySpec::mesh(8, 8);
-  config.network.dense_tick = mode.dense_tick;
-  config.network.router.dense_pipeline = mode.dense_pipeline;
   config.network.router.flow_control = mode.flow_control;
   config.traffic.packets_per_node_per_cycle = rate;
   config.traffic.inject_until = inject_cycles;
@@ -498,61 +493,38 @@ int main(int argc, char** argv) {
   const StandaloneRun fig4 = run_fig4_standalone(fig4_cycles);
 
   const double hotspot_rate = cli.get_double("hotspot-rate");
-  // Timed runs, uninstrumented: the legacy full-fabric/full-scan loop,
-  // the previous baseline (active set over the dense router pipeline),
-  // and the production kernel (active set over the sparse pipeline).
-  const NetworkRun dense = run_hotspot(
+  // Timed runs, uninstrumented: the production kernel unaudited, then
+  // under the every-cycle full-rescan auditor (the pre-incremental
+  // baseline) and the incremental dirty-set auditor.  Both audited runs
+  // must reproduce the unaudited run flit-for-flit with zero violations.
+  const NetworkRun active =
+      run_hotspot(hotspot_cycles, hotspot_rate, HotspotMode{});
+  const NetworkRun audited_full = run_hotspot(
       hotspot_cycles, hotspot_rate,
-      HotspotMode{/*dense_tick=*/true, /*dense_pipeline=*/true});
-  const NetworkRun active_dense_pipeline = run_hotspot(
+      HotspotMode{.audit = true,
+                  .audit_mode = validate::AuditMode::kFull,
+                  .audit_err = false});
+  const NetworkRun audited_incremental = run_hotspot(
       hotspot_cycles, hotspot_rate,
-      HotspotMode{/*dense_tick=*/false, /*dense_pipeline=*/true});
-  const NetworkRun active = run_hotspot(
-      hotspot_cycles, hotspot_rate,
-      HotspotMode{/*dense_tick=*/false, /*dense_pipeline=*/false});
+      HotspotMode{.audit = true,
+                  .audit_mode = validate::AuditMode::kIncremental,
+                  .audit_err = false});
   const auto same = [](const NetworkRun& a, const NetworkRun& b) {
     return a.cycles == b.cycles && a.flits == b.flits &&
            a.delivered_packets == b.delivered_packets;
   };
   const bool identical =
-      same(dense, active) && same(active_dense_pipeline, active);
+      same(audited_full, active) && same(audited_incremental, active);
   if (!identical) {
     std::fprintf(stderr,
-                 "FATAL: hotspot runs diverged (cycles %llu / %llu / %llu, "
-                 "flits %llu / %llu / %llu)\n",
-                 static_cast<unsigned long long>(dense.cycles),
-                 static_cast<unsigned long long>(active_dense_pipeline.cycles),
+                 "FATAL: audited runs diverged from the unaudited run "
+                 "(cycles %llu / %llu / %llu, flits %llu / %llu / %llu)\n",
                  static_cast<unsigned long long>(active.cycles),
-                 static_cast<unsigned long long>(dense.flits),
-                 static_cast<unsigned long long>(active_dense_pipeline.flits),
-                 static_cast<unsigned long long>(active.flits));
-    return 1;
-  }
-  const double kernel_speedup =
-      active.wall_seconds > 0.0 ? dense.wall_seconds / active.wall_seconds
-                                : 0.0;
-  const double pipeline_speedup =
-      active.wall_seconds > 0.0
-          ? active_dense_pipeline.wall_seconds / active.wall_seconds
-          : 0.0;
-
-  // Audited legs on the production configuration: the every-cycle
-  // full-rescan auditor (the pre-incremental baseline) vs the
-  // incremental dirty-set auditor.  Both are timed uninstrumented; both
-  // must reproduce the unaudited run flit-for-flit with zero violations.
-  const NetworkRun audited_full = run_hotspot(
-      hotspot_cycles, hotspot_rate,
-      HotspotMode{/*dense_tick=*/false, /*dense_pipeline=*/false, nullptr,
-                  /*audit=*/true, validate::AuditMode::kFull,
-                  /*audit_err=*/false});
-  const NetworkRun audited_incremental = run_hotspot(
-      hotspot_cycles, hotspot_rate,
-      HotspotMode{/*dense_tick=*/false, /*dense_pipeline=*/false, nullptr,
-                  /*audit=*/true, validate::AuditMode::kIncremental,
-                  /*audit_err=*/false});
-  if (!same(audited_full, active) || !same(audited_incremental, active)) {
-    std::fprintf(stderr,
-                 "FATAL: audited runs diverged from the unaudited run\n");
+                 static_cast<unsigned long long>(audited_full.cycles),
+                 static_cast<unsigned long long>(audited_incremental.cycles),
+                 static_cast<unsigned long long>(active.flits),
+                 static_cast<unsigned long long>(audited_full.flits),
+                 static_cast<unsigned long long>(audited_incremental.flits));
     return 1;
   }
   if (audited_full.audit_violations != 0 ||
@@ -582,8 +554,7 @@ int main(int argc, char** argv) {
   metrics::PerfCounters counters;
   const NetworkRun instrumented = run_hotspot(
       hotspot_cycles, hotspot_rate,
-      HotspotMode{/*dense_tick=*/false, /*dense_pipeline=*/false, &counters,
-                  /*audit=*/true});
+      HotspotMode{.perf_counters = &counters, .audit = true});
   if (!same(instrumented, active)) {
     std::fprintf(stderr,
                  "FATAL: instrumented run diverged from the timed run\n");
@@ -609,9 +580,7 @@ int main(int argc, char** argv) {
   // is that the same packets (and therefore flits) were delivered.
   const NetworkRun onoff = run_hotspot(
       hotspot_cycles, hotspot_rate,
-      HotspotMode{/*dense_tick=*/false, /*dense_pipeline=*/false, nullptr,
-                  /*audit=*/false, validate::AuditMode::kIncremental,
-                  /*audit_err=*/true, wormhole::FlowControl::kOnOff});
+      HotspotMode{.flow_control = wormhole::FlowControl::kOnOff});
   const bool flow_control_identical =
       onoff.delivered_packets == active.delivered_packets &&
       onoff.flits == active.flits;
@@ -729,31 +698,12 @@ int main(int argc, char** argv) {
                 fixed(per_sec(static_cast<double>(fig4.flits),
                               fig4.wall_seconds), 0),
                 "-");
-  table.add_row("8x8 hotspot, dense tick", fixed(dense.wall_seconds, 3),
-                fixed(per_sec(static_cast<double>(dense.cycles),
-                              dense.wall_seconds), 0),
-                fixed(per_sec(static_cast<double>(dense.flits),
-                              dense.wall_seconds), 0),
-                "1.00 (baseline)");
-  table.add_row("8x8 hotspot, active+dense pipe",
-                fixed(active_dense_pipeline.wall_seconds, 3),
-                fixed(per_sec(static_cast<double>(active_dense_pipeline.cycles),
-                              active_dense_pipeline.wall_seconds), 0),
-                fixed(per_sec(static_cast<double>(active_dense_pipeline.flits),
-                              active_dense_pipeline.wall_seconds), 0),
-                fixed(dense.wall_seconds > 0.0 &&
-                              active_dense_pipeline.wall_seconds > 0.0
-                          ? dense.wall_seconds /
-                                active_dense_pipeline.wall_seconds
-                          : 0.0,
-                      2));
-  table.add_row("8x8 hotspot, active+sparse pipe",
-                fixed(active.wall_seconds, 3),
+  table.add_row("8x8 hotspot", fixed(active.wall_seconds, 3),
                 fixed(per_sec(static_cast<double>(active.cycles),
                               active.wall_seconds), 0),
                 fixed(per_sec(static_cast<double>(active.flits),
                               active.wall_seconds), 0),
-                fixed(kernel_speedup, 2));
+                "-");
   table.add_row("8x8 hotspot, audited (full rescan)",
                 fixed(audited_full.wall_seconds, 3),
                 fixed(per_sec(static_cast<double>(audited_full.cycles),
@@ -805,11 +755,10 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  std::printf("(all hotspot runs verified flit-for-flit identical; sparse "
-              "vs dense-pipeline speedup %.2f;\n incremental audit "
-              "overhead %.2fx unaudited, observer share %.1f%%; auditor "
-              "violations: %llu)\n",
-              pipeline_speedup, audit_overhead, 100.0 * observer_share,
+  std::printf("(all hotspot runs verified flit-for-flit identical;\n "
+              "incremental audit overhead %.2fx unaudited, observer share "
+              "%.1f%%; auditor violations: %llu)\n",
+              audit_overhead, 100.0 * observer_share,
               static_cast<unsigned long long>(instrumented.audit_violations));
 
   AsciiTable stage_table(
@@ -861,7 +810,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"schema\": \"wormsched-perf-v7\",\n");
+  std::fprintf(out, "  \"schema\": \"wormsched-perf-v8\",\n");
   std::fprintf(out, "  \"hardware_threads\": %zu,\n", hardware_threads);
   std::fprintf(out, "  \"perf_counters_compiled\": %s,\n",
                metrics::kPerfCountersCompiled ? "true" : "false");
@@ -883,30 +832,19 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "    \"mesh8x8_hotspot\": {\"sim_cycles\": %llu, "
                "\"delivered_flits\": %llu, \"results_identical\": %s,\n"
-               "      \"dense\": {\"wall_seconds\": %.6f, "
-               "\"cycles_per_sec\": %.0f},\n"
-               "      \"active_set_dense_pipeline\": {\"wall_seconds\": %.6f, "
-               "\"cycles_per_sec\": %.0f},\n"
                "      \"active_set\": {\"wall_seconds\": %.6f, "
                "\"cycles_per_sec\": %.0f},\n"
                "      \"audited_full\": {\"wall_seconds\": %.6f, "
                "\"cycles_per_sec\": %.0f},\n"
                "      \"audited_incremental\": {\"wall_seconds\": %.6f, "
                "\"cycles_per_sec\": %.0f},\n"
-               "      \"kernel_speedup\": %.3f,\n"
-               "      \"pipeline_speedup\": %.3f,\n"
                "      \"audited_speedup\": %.3f,\n"
                "      \"audit_overhead\": %.3f,\n"
                "      \"observer_share\": %.4f,\n"
                "      \"audit_violations\": %llu,\n",
                static_cast<unsigned long long>(active.cycles),
                static_cast<unsigned long long>(active.flits),
-               identical ? "true" : "false", dense.wall_seconds,
-               per_sec(static_cast<double>(dense.cycles), dense.wall_seconds),
-               active_dense_pipeline.wall_seconds,
-               per_sec(static_cast<double>(active_dense_pipeline.cycles),
-                       active_dense_pipeline.wall_seconds),
-               active.wall_seconds,
+               identical ? "true" : "false", active.wall_seconds,
                per_sec(static_cast<double>(active.cycles),
                        active.wall_seconds),
                audited_full.wall_seconds,
@@ -915,8 +853,7 @@ int main(int argc, char** argv) {
                audited_incremental.wall_seconds,
                per_sec(static_cast<double>(audited_incremental.cycles),
                        audited_incremental.wall_seconds),
-               kernel_speedup, pipeline_speedup, audited_speedup,
-               audit_overhead, observer_share,
+               audited_speedup, audit_overhead, observer_share,
                static_cast<unsigned long long>(
                    instrumented.audit_violations));
   std::fprintf(out, "      \"stage_breakdown\": {\"total_ticks\": %llu",
@@ -1027,8 +964,6 @@ int main(int argc, char** argv) {
   manifest.tool = "bench_perf_kernel";
   for (const auto& [name, value] : cli.items())
     manifest.add_config(name, value);
-  manifest.add_counter("kernel_speedup", kernel_speedup);
-  manifest.add_counter("pipeline_speedup", pipeline_speedup);
   manifest.add_counter("audited_speedup", audited_speedup);
   manifest.add_counter("audit_overhead", audit_overhead);
   manifest.add_counter("observer_share", observer_share);

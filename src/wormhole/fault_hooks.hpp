@@ -7,10 +7,10 @@
 // that answers them (validate::ScheduledFaults) plugs in from above.
 //
 // Contract: every answer must be a pure function of (cycle, node) and the
-// model's own configuration — never of call order or call count.  The
-// active-set and dense_tick execution paths may interleave queries
-// differently, and the flit-for-flit differential tests require both
-// paths to see the identical fault schedule.
+// model's own configuration — never of call order or call count.  A run
+// restored from a checkpoint, or one at another shard count, queries in
+// a different order, and must still see the identical fault schedule;
+// the golden digests pin exactly that.
 #pragma once
 
 #include <optional>

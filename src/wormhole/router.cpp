@@ -251,8 +251,7 @@ void Router::charge_bound() {
   }
 }
 
-void Router::sa_port(std::uint32_t p, bool port_busy, Cycle now,
-                     RouterEnv& env) {
+void Router::sa_port(std::uint32_t p, Cycle now, RouterEnv& env) {
   const auto port = static_cast<Direction>(p);
   const std::uint32_t vcs = config_.num_vcs;
   bool port_moved = false;
@@ -307,15 +306,14 @@ void Router::sa_port(std::uint32_t p, bool port_busy, Cycle now,
     break;  // port bandwidth: one flit/cycle
   }
   PortStats& stats = port_stats_[p];
-  if (port_busy) {
-    ++stats.busy;
-    if (!port_moved) {
-      ++stats.starved;
-      if (trace_ != nullptr)
-        trace_->record(obs::TraceEvent::router_stall(now, id_.value(), p));
-    }
+  ++stats.busy;
+  if (port_moved) {
+    ++stats.flits;
+  } else {
+    ++stats.starved;
+    if (trace_ != nullptr)
+      trace_->record(obs::TraceEvent::router_stall(now, id_.value(), p));
   }
-  if (port_moved) ++stats.flits;
 }
 
 void Router::emit_onoff_signals(RouterEnv& env) {
@@ -337,26 +335,11 @@ void Router::emit_onoff_signals(RouterEnv& env) {
   }
 }
 
+// Each stage walks only the units with work, in ascending unit index.
 void Router::tick(Cycle now, RouterEnv& env) {
-  if (config_.dense_pipeline) {
-    tick_dense(now, env);
-  } else {
-    tick_sparse(now, env);
-  }
-  // Hysteresis runs after SA in the same tick, so a router that drains
-  // completely always restores its upstream to "on" before retiring from
-  // the active set.
-  if (onoff_flow_) emit_onoff_signals(env);
-}
-
-// Bitmask-sparse pipeline: each stage walks only the units with work.
-// Visit order within each stage is ascending unit index — the same order
-// the dense scan produces after its skip tests — so every arbiter call,
-// env callback, and stat update happens in the identical sequence.
-void Router::tick_sparse(Cycle now, RouterEnv& env) {
   // --- RC: route fresh head flits and raise arbitration requests. -------
   // route_input only clears bits, so walking a snapshot of the mask
-  // visits exactly the units the dense scan would route.
+  // visits exactly the units that held an unrouted head at tick entry.
   {
     metrics::ScopedStageTimer timer(perf_, metrics::Stage::kRouteCompute);
     for (std::uint64_t m = routable_inputs_; m != 0; m &= m - 1) {
@@ -392,43 +375,14 @@ void Router::tick_sparse(Cycle now, RouterEnv& env) {
                         config_.num_vcs);
     }
     for (std::uint64_t m = busy_ports; m != 0; m &= m - 1) {
-      sa_port(static_cast<std::uint32_t>(std::countr_zero(m)),
-              /*port_busy=*/true, now, env);
+      sa_port(static_cast<std::uint32_t>(std::countr_zero(m)), now, env);
     }
   }
-}
 
-// Legacy full-scan pipeline (the PR-1 kernel): every unit is visited every
-// tick, and all work tests read the per-unit flags — never the pending
-// masks — so a dense-vs-sparse differential run flags any divergence
-// between mask state and flag state.
-void Router::tick_dense(Cycle now, RouterEnv& env) {
-  // --- RC ---------------------------------------------------------------
-  for (std::uint32_t g = 0; g < inputs_.size(); ++g) {
-    InputVc& iv = inputs_[g];
-    if (iv.routed || iv.buffer.empty()) continue;
-    route_input(g, env);
-  }
-
-  // --- VA ---------------------------------------------------------------
-  for (std::uint32_t i = 0; i < outputs_.size(); ++i) {
-    if (outputs_[i].bound) continue;
-    try_bind_output(i, now);
-  }
-
-  // --- Occupancy --------------------------------------------------------
-  for (OutputVc& ov : outputs_) {
-    if (ov.bound) ov.arbiter->charge_cycle();
-  }
-
-  // --- SA/ST ------------------------------------------------------------
-  for (std::uint32_t p = 0; p < kNumDirections; ++p) {
-    bool port_busy = false;
-    for (std::uint32_t cls = 0; cls < config_.num_vcs; ++cls)
-      port_busy |= outputs_[unit(static_cast<Direction>(p), cls)].bound;
-    if (!port_busy) continue;  // no stats and no movement possible
-    sa_port(p, /*port_busy=*/true, now, env);
-  }
+  // Hysteresis runs after SA in the same tick, so a router that drains
+  // completely always restores its upstream to "on" before retiring from
+  // the active set.
+  if (onoff_flow_) emit_onoff_signals(env);
 }
 
 }  // namespace wormsched::wormhole

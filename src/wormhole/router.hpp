@@ -15,14 +15,12 @@
 // output occupancy (or per flit, for the ablation), which is exactly the
 // information a real wormhole switch has.
 //
-// The default pipeline is bitmask-sparse: three uint64_t pending masks
-// (routable inputs, requesting outputs, bound outputs) are walked with
+// The pipeline is bitmask-sparse: three uint64_t pending masks (routable
+// inputs, requesting outputs, bound outputs) are walked with
 // std::countr_zero, so a tick costs work proportional to pending units,
-// not kNumDirections x num_vcs.  The legacy full-scan pipeline is kept
-// behind RouterConfig::dense_pipeline; it reads only the per-unit flags,
-// never the masks, so the dense-vs-sparse differential tests catch any
-// mask-bookkeeping bug.  Both paths mutate state through the same
-// helpers and are flit-for-flit identical by construction.
+// not kNumDirections x num_vcs.  The masks mirror the per-unit flags;
+// the NetworkAuditor re-derives them from the flags every cycle
+// (net.masks.stale), and golden digests pin the results they produce.
 #pragma once
 
 #include <cstdint>
@@ -73,12 +71,6 @@ struct RouterConfig {
   /// 1 <= on_low <= on_high <= buffer_depth.
   std::uint32_t on_high = 0;
   std::uint32_t on_low = 0;
-  /// Legacy full-scan pipeline: every input and output unit is visited
-  /// every tick.  Bit-identical to the default bitmask-sparse pipeline
-  /// (same helpers, same visit order); kept as the differential baseline
-  /// the sparse pipeline is verified against, mirroring
-  /// NetworkConfig::dense_tick one level up.
-  bool dense_pipeline = false;
 
   /// The first constraint this config violates, as a one-line message,
   /// or empty when a Router can be built from it.  Watermarks are checked
@@ -281,18 +273,16 @@ class Router {
                                            std::uint32_t in_class);
 
   /// RC for one input unit: routes the head at its front, raises the
-  /// arbitration request, maintains the masks.  Shared by both pipelines
-  /// and by the tail-handling re-request in SA.
+  /// arbitration request, maintains the masks.  Called from RC and by
+  /// the tail-handling re-request in SA.
   void route_input(std::uint32_t g, RouterEnv& env);
   /// VA for one free output unit: grant + bind + mask upkeep.
   void try_bind_output(std::uint32_t i, Cycle now);
   /// Occupancy: one batched walk charging every bound output queue.
   void charge_bound();
-  /// SA/ST for one physical port (`port_busy` = any of its VCs bound).
-  void sa_port(std::uint32_t p, bool port_busy, Cycle now, RouterEnv& env);
+  /// SA/ST for one physical port with at least one bound VC.
+  void sa_port(std::uint32_t p, Cycle now, RouterEnv& env);
 
-  void tick_sparse(Cycle now, RouterEnv& env);
-  void tick_dense(Cycle now, RouterEnv& env);
   /// On/off hysteresis, run at the end of every tick: raises "off" for
   /// non-local input VCs that crossed on_high, "on" for parked ones that
   /// drained to on_low.  Emitting from the router's own tick (not at
