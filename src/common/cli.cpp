@@ -85,9 +85,13 @@ bool CliParser::parse(int argc, const char* const* argv) {
       std::fputs(usage(argv[0]).c_str(), stdout);
       return false;
     }
+    // No command reads positional arguments, so a stray word is always a
+    // mistake — typically a value given to a choice flag with a space.
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
+      std::fprintf(stderr,
+                   "unexpected argument '%s' (options take --name=value)\n",
+                   arg.c_str());
+      std::exit(2);
     }
     std::string name = arg.substr(2);
     std::optional<std::string> inline_value;
@@ -112,8 +116,8 @@ bool CliParser::parse(int argc, const char* const* argv) {
       }
       opt.value = inline_value.value_or("true");
     } else if (!opt.choices.empty()) {
-      // Choice flags never consume the next token, so scripts that used
-      // the option as a plain boolean (`--audit run.json`) keep working.
+      // Choice flags never consume the next token, so a bare `--audit`
+      // stays a plain boolean; the value goes inline (`--audit=full`).
       const std::string value = inline_value.value_or(opt.bare_value);
       bool known = false;
       for (const auto& c : opt.choices) known = known || c == value;

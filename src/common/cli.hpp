@@ -1,13 +1,14 @@
 // Small command-line option parser for the examples and figure benches.
 //
 // Supports `--name value`, `--name=value` and boolean `--name`.  Unknown
-// options are an error (catches typos in sweep scripts); positional
-// arguments are collected in order.  Flag options validate any inline
-// value at parse time (`--audit=yes` works, `--audit=on` is rejected),
-// and the numeric getters validate the full string with std::from_chars —
-// junk (`--cycles=10x`), overflow, and a negative value handed to an
-// unsigned option all fail with a per-option message and exit code 2
-// instead of throwing or silently wrapping.
+// options are an error (catches typos in sweep scripts), and so is any
+// positional argument: it exits 2 with one stderr line, which catches
+// `--audit full` (a choice flag never consumes the next token).  Flag
+// options validate any inline value at parse time (`--audit=yes` works,
+// `--audit=on` is rejected), and the numeric getters validate the full
+// string with std::from_chars — junk (`--cycles=10x`), overflow, and a
+// negative value handed to an unsigned option all fail with a per-option
+// message and exit code 2 instead of throwing or silently wrapping.
 #pragma once
 
 #include <cstdint>
@@ -29,18 +30,20 @@ class CliParser {
                   const std::string& default_value);
   void add_flag(const std::string& name, const std::string& help);
   /// Declares an enumerated option that behaves like a flag on the
-  /// command line: it never consumes the next token, so `--audit run.json`
-  /// keeps `run.json` positional.  Bare `--name` reads back as
-  /// `bare_value`; `--name=choice` is validated against `choices` at
-  /// parse time; an absent option reads back as `default_value`.  Both
-  /// `bare_value` and `default_value` must themselves be in `choices`.
+  /// command line: it never consumes the next token, so `--audit full` is
+  /// the bare flag followed by a stray (rejected) word.  Bare `--name`
+  /// reads back as `bare_value`; `--name=choice` is validated against
+  /// `choices` at parse time; an absent option reads back as
+  /// `default_value`.  Both `bare_value` and `default_value` must
+  /// themselves be in `choices`.
   void add_choice_flag(const std::string& name, const std::string& help,
                        std::vector<std::string> choices,
                        const std::string& bare_value,
                        const std::string& default_value);
 
   /// Parses argv.  Returns false (after printing usage) on error or when
-  /// `--help` is requested.  Flag options accept inline values from
+  /// `--help` is requested; a positional argument prints one line and
+  /// exits 2.  Flag options accept inline values from
   /// {true,false,1,0,yes,no} only; anything else is a parse error.
   [[nodiscard]] bool parse(int argc, const char* const* argv);
 
@@ -53,10 +56,6 @@ class CliParser {
   [[nodiscard]] std::uint64_t get_uint(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
-
-  [[nodiscard]] const std::vector<std::string>& positional() const {
-    return positional_;
-  }
 
   /// Every declared option with its effective (parsed-or-default) value,
   /// in declaration-name order.  Run manifests record this as the
@@ -80,7 +79,6 @@ class CliParser {
 
   std::string description_;
   std::map<std::string, Option> options_;
-  std::vector<std::string> positional_;
 };
 
 /// Declares the shared `--jobs` option (worker threads for sweeps;

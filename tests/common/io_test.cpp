@@ -104,13 +104,17 @@ TEST(CliParser, ParsesOptionsAndFlags) {
   cli.add_option("rate", "injection rate", "0.5");
   cli.add_flag("verbose", "chatty");
   const char* argv[] = {"prog", "--cycles", "5000", "--verbose",
-                        "--rate=0.25", "pos1"};
-  ASSERT_TRUE(cli.parse(6, argv));
+                        "--rate=0.25"};
+  ASSERT_TRUE(cli.parse(5, argv));
   EXPECT_EQ(cli.get_uint("cycles"), 5000u);
   EXPECT_DOUBLE_EQ(cli.get_double("rate"), 0.25);
   EXPECT_TRUE(cli.get_flag("verbose"));
-  ASSERT_EQ(cli.positional().size(), 1u);
-  EXPECT_EQ(cli.positional()[0], "pos1");
+  // No command reads positional arguments: a stray word exits 2 with one
+  // line naming it.
+  const char* stray[] = {"prog", "--cycles", "5000", "--verbose", "pos1"};
+  EXPECT_EXIT((void)cli.parse(5, stray), ::testing::ExitedWithCode(2),
+              "^unexpected argument 'pos1' \\(options take "
+              "--name=value\\)\n$");
 }
 
 TEST(CliParser, DefaultsApplyWhenAbsent) {
@@ -326,13 +330,16 @@ TEST(CliParserChoice, BareUsesBareValueAndKeepsNextTokenPositional) {
   CliParser cli("test");
   cli.add_choice_flag("audit", "audit mode", {"incremental", "full", "off"},
                       "incremental", "off");
-  // A choice flag must never eat the following token, so scripts that
-  // treated it as a boolean (`--audit run.json`) keep working.
-  const char* argv[] = {"prog", "--audit", "run.json"};
-  ASSERT_TRUE(cli.parse(3, argv));
+  const char* bare[] = {"prog", "--audit"};
+  ASSERT_TRUE(cli.parse(2, bare));
   EXPECT_EQ(cli.get("audit"), "incremental");
-  ASSERT_EQ(cli.positional().size(), 1u);
-  EXPECT_EQ(cli.positional()[0], "run.json");
+  // A choice flag never eats the following token: `--audit full` is the
+  // bare flag plus a stray word, which exits 2 instead of silently
+  // auditing in the bare mode.
+  const char* spaced[] = {"prog", "--audit", "full"};
+  EXPECT_EXIT((void)cli.parse(3, spaced), ::testing::ExitedWithCode(2),
+              "^unexpected argument 'full' \\(options take "
+              "--name=value\\)\n$");
 }
 
 TEST(CliParserChoice, InlineValueValidatedAgainstChoices) {
