@@ -405,11 +405,10 @@ NetworkScenarioResult NetworkRun::finish() {
 
 namespace {
 
-/// Scenario-internal observer: records head-flit instants and the largest
-/// served packet (mirrors run_scenario's probe).
-class CkptRunProbe final : public core::SchedulerObserver {
+/// Records head-flit instants and the largest served packet.
+class RunProbe final : public core::SchedulerObserver {
  public:
-  explicit CkptRunProbe(ScenarioResult& result) : result_(result) {}
+  explicit RunProbe(ScenarioResult& result) : result_(result) {}
 
   void on_flit(Cycle now, const core::FlitEvent& flit) override {
     if (flit.is_head) result_.service_starts.push_back(now);
@@ -423,11 +422,12 @@ class CkptRunProbe final : public core::SchedulerObserver {
   ScenarioResult& result_;
 };
 
-/// Mirrors scheduler decisions into the trace sink (ERR dequeues carry
-/// the serving flow's allowance and surplus count).
-class CkptTraceObserver final : public core::SchedulerObserver {
+/// Mirrors scheduler decisions into the trace sink.  For ERR schedulers a
+/// dequeue carries the serving flow's allowance and surplus count at the
+/// decision instant (both 0 for other disciplines).
+class TraceObserver final : public core::SchedulerObserver {
  public:
-  CkptTraceObserver(obs::TraceSink& sink, const core::ErrScheduler* err)
+  TraceObserver(obs::TraceSink& sink, const core::ErrScheduler* err)
       : sink_(sink), err_(err) {}
 
   void on_packet_arrival(Cycle now, const core::Packet& p) override {
@@ -455,13 +455,24 @@ class CkptTraceObserver final : public core::SchedulerObserver {
 struct ScenarioRun::Observers {
   explicit Observers(ScenarioResult& result) : probe(result) {}
 
-  CkptRunProbe probe;
-  std::optional<CkptTraceObserver> trace_observer;
+  RunProbe probe;
+  std::optional<TraceObserver> trace_observer;
   metrics::ObserverChain chain;
 };
 
 ScenarioRun::ScenarioRun(const ScenarioSpec& spec) : spec_(spec) {
   original_seed_ = spec_.config.seed;
+  build_trace();
+  build();
+}
+
+ScenarioRun::ScenarioRun(std::string_view scheduler,
+                         const ScenarioConfig& config,
+                         const traffic::Trace& trace)
+    : trace_(&trace) {
+  spec_.scheduler = std::string(scheduler);
+  spec_.config = config;
+  original_seed_ = config.seed;
   build();
 }
 
@@ -496,11 +507,12 @@ ScenarioRun::ScenarioRun(const ScenarioSpec& wiring, const SnapshotFile& file)
   restore_doubles(r, spec_.config.weights);
   spec_.faults = load_fault_spec(r);
   r.leave_section();
+  build_trace();
   build();
   r.enter_section(kCkptScenStateTag);
   t_ = r.u64();
   next_arrival_ = r.u64();
-  if (next_arrival_ > trace_.entries.size())
+  if (next_arrival_ > trace_->entries.size())
     throw SnapshotError("scenario checkpoint arrival cursor out of range");
   next_packet_id_ = r.u64();
   done_ = r.b();
@@ -517,7 +529,7 @@ ScenarioRun::ScenarioRun(const ScenarioSpec& wiring, const SnapshotFile& file)
 
 ScenarioRun::~ScenarioRun() = default;
 
-void ScenarioRun::build() {
+void ScenarioRun::build_trace() {
   std::string error;
   const std::optional<WorkloadParse> parsed =
       parse_workload(spec_.workload_text, &error);
@@ -525,36 +537,43 @@ void ScenarioRun::build() {
     throw SnapshotError("checkpoint workload \"" + spec_.workload_text +
                         "\" failed to parse: " + error);
   if (spec_.config.weights.empty()) spec_.config.weights = parsed->weights;
+  owned_trace_ = validate::apply_trace_faults(
+      spec_.faults, traffic::generate_trace(parsed->spec, spec_.config.horizon,
+                                            spec_.config.seed));
+}
 
-  trace_ = traffic::generate_trace(parsed->spec, spec_.config.horizon,
-                                   spec_.config.seed);
-  trace_ = validate::apply_trace_faults(spec_.faults, trace_);
-  WS_CHECK(trace_.num_flows > 0);
-
+void ScenarioRun::build() {
+  const traffic::Trace& trace = *trace_;
+  WS_CHECK(trace.num_flows > 0);
   core::SchedulerParams params = spec_.config.sched;
-  params.num_flows = trace_.num_flows;
+  params.num_flows = trace.num_flows;
   scheduler_ = core::make_scheduler(spec_.scheduler, params);
   WS_CHECK_MSG(scheduler_ != nullptr, "unknown scheduler name");
   if (!spec_.config.weights.empty()) {
-    WS_CHECK(spec_.config.weights.size() == trace_.num_flows);
+    WS_CHECK(spec_.config.weights.size() == trace.num_flows);
     for (std::size_t i = 0; i < spec_.config.weights.size(); ++i)
       scheduler_->set_weight(FlowId(static_cast<FlowId::rep_type>(i)),
                              spec_.config.weights[i]);
   }
 
-  result_.emplace(trace_.num_flows, spec_.config.flit_bytes);
+  result_.emplace(trace.num_flows, spec_.config.flit_bytes);
   result_->scheduler_name = std::string(scheduler_->name());
 
+  // Runtime invariant auditing: ERR schedulers publish their opportunity
+  // stream, which the auditor re-checks against the paper's bounds live.
   auto* err = dynamic_cast<core::ErrScheduler*>(scheduler_.get());
   if (spec_.config.audit && err != nullptr) {
     validate::AuditLog* log = spec_.config.audit_log;
     if (log == nullptr) log = &local_log_.emplace();
     validate::ErrAuditorConfig audit_config;
     audit_config.reset_on_idle = spec_.config.sched.err_reset_on_idle;
-    auditor_.emplace(trace_.num_flows, audit_config, *log);
+    auditor_.emplace(trace.num_flows, audit_config, *log);
     auditor_->attach(err->policy());
   }
 
+  // Tracing shares ErrPolicy's single listener slot with the auditor:
+  // when both are active one combined lambda feeds the auditor first
+  // (attach() above already claimed the slot), then the sink.
   obs::TraceSink* sink = spec_.config.trace;
   if (sink != nullptr && err != nullptr) {
     validate::ErrAuditor* audit_ptr = auditor_ ? &*auditor_ : nullptr;
@@ -582,47 +601,50 @@ void ScenarioRun::build() {
   scheduler_->set_observer(&observers_->chain);
 }
 
-void ScenarioRun::run_cycle() {
-  obs::TraceSink* sink = spec_.config.trace;
-  if (sink != nullptr) sink->set_now(t_);
-  // Deliver this cycle's arrivals, then offer one transmission slot —
-  // the paper's service model (one flit dequeued per cycle).
-  while (next_arrival_ < trace_.entries.size() &&
-         trace_.entries[next_arrival_].cycle == t_) {
-    const traffic::TraceEntry& e = trace_.entries[next_arrival_];
-    scheduler_->enqueue(t_, core::Packet{.id = PacketId(next_packet_id_++),
-                                         .flow = e.flow,
-                                         .length = e.length,
-                                         .arrival = t_});
-    ++next_arrival_;
-  }
-  (void)scheduler_->pull_flit(t_);
-  // Activity snapshot after arrivals and service: a flow is active while
-  // its queue is nonempty.
-  for (std::size_t i = 0; i < trace_.num_flows; ++i) {
-    const FlowId flow(static_cast<FlowId::rep_type>(i));
-    result_->activity.record(t_, flow, scheduler_->queue_length(flow) > 0);
-  }
-  ++t_;
-  if (t_ >= spec_.config.horizon) {
-    const bool arrivals_done = next_arrival_ >= trace_.entries.size();
-    if (!spec_.config.drain) {
-      done_ = true;
-    } else if (arrivals_done && scheduler_->idle()) {
-      done_ = true;
-    }
-  }
-}
-
 void ScenarioRun::advance_to(Cycle target) {
-  while (!done_ && t_ < target) run_cycle();
+  // The per-cycle state stays in locals for the whole segment, so the
+  // activity snapshot (the loop's hot spot) reloads nothing through
+  // `this` around each virtual queue_length() call.
+  core::Scheduler& scheduler = *scheduler_;
+  metrics::ActivityTracker& activity = result_->activity;
+  const std::vector<traffic::TraceEntry>& entries = trace_->entries;
+  const std::size_t num_flows = trace_->num_flows;
+  obs::TraceSink* const sink = spec_.config.trace;
+  Cycle t = t_;
+  while (!done_ && t < target) {
+    if (sink != nullptr) sink->set_now(t);
+    // Deliver this cycle's arrivals, then offer one transmission slot —
+    // the paper's service model (one flit dequeued per cycle).
+    while (next_arrival_ < entries.size() &&
+           entries[next_arrival_].cycle == t) {
+      const traffic::TraceEntry& e = entries[next_arrival_];
+      scheduler.enqueue(t, core::Packet{.id = PacketId(next_packet_id_++),
+                                        .flow = e.flow,
+                                        .length = e.length,
+                                        .arrival = t});
+      ++next_arrival_;
+    }
+    (void)scheduler.pull_flit(t);
+    // Activity snapshot after arrivals and service: a flow is active while
+    // its queue is nonempty (a packet mid-dequeue keeps its queue
+    // nonempty in this framework).
+    for (std::size_t i = 0; i < num_flows; ++i) {
+      const FlowId flow(static_cast<FlowId::rep_type>(i));
+      activity.record(t, flow, scheduler.queue_length(flow) > 0);
+    }
+    ++t;
+    if (t >= spec_.config.horizon)
+      done_ = !spec_.config.drain ||
+              (next_arrival_ >= entries.size() && scheduler.idle());
+  }
+  t_ = t;
 }
 
-void ScenarioRun::run_to_completion() {
-  while (!done_) run_cycle();
-}
+void ScenarioRun::run_to_completion() { advance_to(kCycleMax); }
 
 std::vector<std::uint8_t> ScenarioRun::checkpoint_payload() const {
+  WS_CHECK_MSG(trace_ == &owned_trace_,
+               "a trace-supplied scenario run cannot be checkpointed");
   SnapshotWriter w;
   w.begin_section(kCkptMetaTag);
   w.str("scenario");

@@ -16,11 +16,13 @@
 //
 // The resumable runners (NetworkRun, ScenarioRun) are the load-bearing
 // design point: the straight path and the checkpointed path execute the
-// SAME segmented code — run_network_scenario / run_scenario are thin
-// wrappers that construct a runner and drive it to completion — so
-// "checkpoint at cycle k, restore, continue" is flit-for-flit identical
-// to an uninterrupted run by construction, which is exactly what the
-// restore-equivalence differential suite asserts.
+// SAME segmented code — run_network_scenario / run_scenario construct a
+// runner, drive it to completion and return finish(), with no loop of
+// their own — so "checkpoint at cycle k, restore, continue" is
+// flit-for-flit identical to an uninterrupted run by construction, which
+// is exactly what the restore-equivalence differential suite asserts.
+// (A ScenarioRun over a caller-supplied trace runs the same loop but
+// cannot be checkpointed: nothing in SCFG could rebuild that trace.)
 //
 // Sharding/threading is runner-local, never serialized: a checkpoint
 // written by a serial run restores under --threads 4 (and vice versa)
@@ -32,6 +34,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/snapshot.hpp"
@@ -179,13 +182,21 @@ struct ScenarioSpec {
   validate::FaultSpec faults;
 };
 
-/// Resumable standalone-scheduler run; run_scenario() stays the
-/// single-segment wrapper for trace-supplied callers.
+/// Resumable standalone-scheduler run: the one replay loop behind both
+/// the checkpointable CLI runs and run_scenario(), its single-segment
+/// trace-supplied case.
 class ScenarioRun {
  public:
   /// Fresh run: expands `spec.workload_text`, generates the trace with
   /// `spec.config.seed`, applies trace faults.
   explicit ScenarioRun(const ScenarioSpec& spec);
+
+  /// Fresh run over a caller-supplied trace, which is borrowed (not
+  /// copied) and must outlive the run.  The trace must have been
+  /// generated for the same number of flows.  Such a run cannot be
+  /// checkpointed: its SCFG section could not rebuild the trace.
+  ScenarioRun(std::string_view scheduler, const ScenarioConfig& config,
+              const traffic::Trace& trace);
 
   /// Restored run: the sim-defining parts of the spec (scheduler,
   /// workload, horizon, drain, seed, weights, faults) are read from the
@@ -201,6 +212,7 @@ class ScenarioRun {
   void advance_to(Cycle target);
   void run_to_completion();
 
+  /// Checkpointing needs a workload-built run (WS_CHECK otherwise).
   [[nodiscard]] std::vector<std::uint8_t> checkpoint_payload() const;
   void save_checkpoint(const std::string& path) const;
   [[nodiscard]] SnapshotFile make_snapshot_file() const;
@@ -216,11 +228,15 @@ class ScenarioRun {
   }
 
  private:
+  /// Expands spec_.workload_text into owned_trace_ (fresh and restored
+  /// workload runs).
+  void build_trace();
+  /// Scheduler, result, auditor and observers over *trace_.
   void build();
-  void run_cycle();
 
   ScenarioSpec spec_;
-  traffic::Trace trace_;
+  traffic::Trace owned_trace_;  // empty for trace-supplied runs
+  const traffic::Trace* trace_ = &owned_trace_;
   std::unique_ptr<core::Scheduler> scheduler_;
   std::optional<ScenarioResult> result_;
   std::optional<validate::AuditLog> local_log_;

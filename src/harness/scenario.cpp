@@ -1,65 +1,8 @@
 #include "harness/scenario.hpp"
 
-#include <algorithm>
-#include <optional>
-
-#include "common/assert.hpp"
-#include "core/err.hpp"
-#include "core/packet.hpp"
-#include "validate/err_auditor.hpp"
+#include "harness/checkpoint.hpp"
 
 namespace wormsched::harness {
-
-namespace {
-
-/// Scenario-internal observer: records head-flit instants and the largest
-/// served packet.
-class RunProbe final : public core::SchedulerObserver {
- public:
-  explicit RunProbe(ScenarioResult& result) : result_(result) {}
-
-  void on_flit(Cycle now, const core::FlitEvent& flit) override {
-    if (flit.is_head) result_.service_starts.push_back(now);
-  }
-  void on_packet_departure(Cycle, const core::Packet& packet) override {
-    result_.max_served_packet =
-        std::max(result_.max_served_packet, packet.length);
-  }
-
- private:
-  ScenarioResult& result_;
-};
-
-/// Mirrors scheduler decisions into the trace sink.  For ERR schedulers a
-/// dequeue carries the serving flow's allowance and surplus count at the
-/// decision instant (both 0 for other disciplines).
-class TraceObserver final : public core::SchedulerObserver {
- public:
-  TraceObserver(obs::TraceSink& sink, const core::ErrScheduler* err)
-      : sink_(sink), err_(err) {}
-
-  void on_packet_arrival(Cycle now, const core::Packet& p) override {
-    sink_.record(
-        obs::TraceEvent::packet_enqueue(now, p.flow.value(), p.id.value(),
-                                        p.length));
-  }
-  void on_packet_departure(Cycle now, const core::Packet& p) override {
-    double allowance = 0.0;
-    double surplus = 0.0;
-    if (err_ != nullptr) {
-      allowance = err_->policy().allowance();
-      surplus = err_->policy().surplus_count(p.flow);
-    }
-    sink_.record(obs::TraceEvent::packet_dequeue(
-        now, p.flow.value(), p.id.value(), p.length, allowance, surplus));
-  }
-
- private:
-  obs::TraceSink& sink_;
-  const core::ErrScheduler* err_;
-};
-
-}  // namespace
 
 ScenarioResult::ScenarioResult(std::size_t num_flows, Bytes flit_bytes)
     : service_log(num_flows, flit_bytes),
@@ -69,108 +12,9 @@ ScenarioResult::ScenarioResult(std::size_t num_flows, Bytes flit_bytes)
 ScenarioResult run_scenario(std::string_view scheduler_name,
                             const ScenarioConfig& config,
                             const traffic::Trace& trace) {
-  WS_CHECK(trace.num_flows > 0);
-  core::SchedulerParams params = config.sched;
-  params.num_flows = trace.num_flows;
-  auto scheduler = core::make_scheduler(scheduler_name, params);
-  WS_CHECK_MSG(scheduler != nullptr, "unknown scheduler name");
-  if (!config.weights.empty()) {
-    WS_CHECK(config.weights.size() == trace.num_flows);
-    for (std::size_t i = 0; i < config.weights.size(); ++i)
-      scheduler->set_weight(FlowId(static_cast<FlowId::rep_type>(i)),
-                            config.weights[i]);
-  }
-
-  ScenarioResult result(trace.num_flows, config.flit_bytes);
-  result.scheduler_name = std::string(scheduler->name());
-
-  // Runtime invariant auditing: ERR schedulers publish their opportunity
-  // stream, which the auditor re-checks against the paper's bounds live.
-  auto* err = dynamic_cast<core::ErrScheduler*>(scheduler.get());
-  std::optional<validate::AuditLog> local_log;
-  std::optional<validate::ErrAuditor> auditor;
-  if (config.audit && err != nullptr) {
-    validate::AuditLog* log = config.audit_log;
-    if (log == nullptr) log = &local_log.emplace();
-    validate::ErrAuditorConfig audit_config;
-    audit_config.reset_on_idle = config.sched.err_reset_on_idle;
-    auditor.emplace(trace.num_flows, audit_config, *log);
-    auditor->attach(err->policy());
-  }
-
-  // Tracing shares ErrPolicy's single listener slot with the auditor:
-  // when both are active one combined lambda feeds the auditor first
-  // (attach() above already claimed the slot), then the sink.
-  obs::TraceSink* sink = config.trace;
-  std::size_t trace_round = 0;
-  if (sink != nullptr && err != nullptr) {
-    validate::ErrAuditor* audit_ptr = auditor ? &*auditor : nullptr;
-    err->policy().set_opportunity_listener(
-        [sink, audit_ptr, &trace_round](const core::ErrOpportunity& op) {
-          if (audit_ptr != nullptr) audit_ptr->on_opportunity(op);
-          const Cycle now = sink->now();
-          if (op.round != trace_round) {
-            trace_round = op.round;
-            sink->record(obs::TraceEvent::round_boundary(
-                now, op.round, op.previous_max_sc));
-          }
-          sink->record(obs::TraceEvent::opportunity(
-              now, op.flow.value(), op.round, op.allowance,
-              op.surplus_count));
-        });
-  }
-
-  RunProbe probe(result);
-  std::optional<TraceObserver> trace_observer;
-  metrics::ObserverChain chain;
-  chain.add(result.service_log);
-  chain.add(result.delays);
-  chain.add(probe);
-  if (sink != nullptr) chain.add(trace_observer.emplace(*sink, err));
-  scheduler->set_observer(&chain);
-
-  std::size_t next_arrival = 0;
-  PacketId::rep_type next_packet_id = 0;
-  Cycle t = 0;
-  for (;;) {
-    if (sink != nullptr) sink->set_now(t);
-    // Deliver this cycle's arrivals, then offer one transmission slot —
-    // the paper's service model (one flit dequeued per cycle).
-    while (next_arrival < trace.entries.size() &&
-           trace.entries[next_arrival].cycle == t) {
-      const traffic::TraceEntry& e = trace.entries[next_arrival];
-      scheduler->enqueue(t, core::Packet{.id = PacketId(next_packet_id++),
-                                         .flow = e.flow,
-                                         .length = e.length,
-                                         .arrival = t});
-      ++next_arrival;
-    }
-    (void)scheduler->pull_flit(t);
-    // Activity snapshot after arrivals and service: a flow is active while
-    // its queue is nonempty (a packet mid-dequeue keeps its queue
-    // nonempty in this framework).
-    for (std::size_t i = 0; i < trace.num_flows; ++i) {
-      const FlowId flow(static_cast<FlowId::rep_type>(i));
-      result.activity.record(t, flow, scheduler->queue_length(flow) > 0);
-    }
-    ++t;
-    if (t >= config.horizon) {
-      const bool arrivals_done = next_arrival >= trace.entries.size();
-      if (!config.drain) break;
-      if (arrivals_done && scheduler->idle()) break;
-    }
-  }
-  result.end_cycle = t;
-  result.activity.finish(t);
-  result.residual_backlog = scheduler->backlog_flits();
-  if (auditor.has_value()) {
-    result.audit_opportunities = auditor->opportunities();
-    validate::AuditLog* log =
-        config.audit_log != nullptr ? config.audit_log : &*local_log;
-    result.audit_violations = log->count();
-  }
-  scheduler->set_observer(nullptr);
-  return result;
+  ScenarioRun run(scheduler_name, config, trace);
+  run.run_to_completion();
+  return run.finish();
 }
 
 ScenarioResult run_scenario(std::string_view scheduler_name,

@@ -4,11 +4,12 @@
 // All figure benches and most integration tests are thin wrappers around
 // run_scenario(): they build a WorkloadSpec, generate ONE trace, and replay
 // it into each discipline under comparison so the only varying factor is
-// the scheduling algorithm.
+// the scheduling algorithm.  run_scenario() is the single-segment case of
+// the resumable ScenarioRun (harness/checkpoint.hpp): there is one replay
+// loop, whether or not a run is ever checkpointed.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -80,8 +81,9 @@ struct ScenarioResult {
   }
 };
 
-/// Runs `trace` through the named scheduler.  The trace must have been
-/// generated for the same number of flows.
+/// Runs `trace` through the named scheduler (a ScenarioRun driven to
+/// completion; the trace is borrowed, not copied).  The trace must have
+/// been generated for the same number of flows.
 [[nodiscard]] ScenarioResult run_scenario(std::string_view scheduler_name,
                                           const ScenarioConfig& config,
                                           const traffic::Trace& trace);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/checkpoint.hpp"
 #include "metrics/fairness.hpp"
 
 namespace wormsched::harness {
@@ -113,6 +114,38 @@ TEST(Scenario, SameTraceSameSchedulerIsBitReproducible) {
     EXPECT_EQ(a.service_log.total(FlowId(f)),
               b.service_log.total(FlowId(f)));
   EXPECT_EQ(a.service_starts, b.service_starts);
+}
+
+TEST(Scenario, TraceSuppliedRunSegmentsLikeOneCall) {
+  // run_scenario is ScenarioRun driven in one segment; stopping the same
+  // run at an arbitrary cycle and continuing changes nothing.
+  ScenarioConfig config;
+  config.horizon = 6000;
+  config.drain = true;
+  const auto trace =
+      traffic::generate_trace(simple_workload(3, 0.05), 6000, 8);
+  const auto whole = run_scenario("err", config, trace);
+  ScenarioRun run("err", config, trace);
+  run.advance_to(1777);
+  EXPECT_EQ(run.now(), 1777u);
+  run.run_to_completion();
+  const ScenarioResult split = run.finish();
+  EXPECT_EQ(whole.end_cycle, split.end_cycle);
+  EXPECT_EQ(whole.service_starts, split.service_starts);
+  EXPECT_EQ(whole.delays.overall().sum(), split.delays.overall().sum());
+  for (std::uint32_t f = 0; f < 3; ++f)
+    EXPECT_EQ(whole.service_log.total(FlowId(f)),
+              split.service_log.total(FlowId(f)));
+}
+
+TEST(ScenarioDeath, TraceSuppliedRunRefusesCheckpoint) {
+  // SCFG could not rebuild a caller's trace, so there is nothing to save.
+  ScenarioConfig config;
+  config.horizon = 100;
+  const auto trace = traffic::generate_trace(simple_workload(2, 0.1), 100, 1);
+  ScenarioRun run("err", config, trace);
+  run.advance_to(50);
+  EXPECT_DEATH((void)run.make_snapshot_file(), "cannot be checkpointed");
 }
 
 TEST(ScenarioDeath, UnknownSchedulerAborts) {
