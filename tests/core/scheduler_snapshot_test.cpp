@@ -201,8 +201,8 @@ std::vector<std::string> all_scheduler_names() {
 
 INSTANTIATE_TEST_SUITE_P(AllDisciplines, SchedulerSnapshotTest,
                          ::testing::ValuesIn(all_scheduler_names()),
-                         [](const auto& info) {
-                           std::string tag = info.param;
+                         [](const auto& param_info) {
+                           std::string tag = param_info.param;
                            for (char& c : tag)
                              if (!std::isalnum(static_cast<unsigned char>(c)))
                                c = '_';

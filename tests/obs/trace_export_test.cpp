@@ -172,8 +172,8 @@ TEST(RunManifest, GoldenJson) {
 
 TEST(RunManifest, EmptySectionsAndNullTrace) {
   RunManifest m;
-  m.tool = "t";
-  m.git_sha = "x";
+  m.tool = std::string("t");
+  m.git_sha = std::string("x");
   std::ostringstream os;
   m.write(os);
   EXPECT_EQ(os.str(),
@@ -202,7 +202,7 @@ TEST(RunManifest, GitShaHonorsEnvOverride) {
 
 TEST(RunManifest, FileWriteRoundTrips) {
   RunManifest m;
-  m.tool = "t";
+  m.tool = std::string("t");
   const std::string path = ::testing::TempDir() + "/ws_manifest_test.json";
   m.write_file(path);
   EXPECT_NE(slurp(path).find("wormsched-manifest-v1"), std::string::npos);
