@@ -40,6 +40,19 @@ std::string NetworkConfig::validate() const {
   if (threads < 1) return "threads must be >= 1";
   if (std::string error = resolved_router(*this).validate(); !error.empty())
     return error;
+  // Node ids are 32-bit, and so is the CycleDelta key Network::delta_unit
+  // gives every (node, port, VC class) unit.
+  constexpr std::uint64_t kKeys = std::uint64_t{1} << 32;
+  const std::uint64_t nodes = topo.kind == TopologySpec::Kind::kFatTree
+                                  ? topo.num_nodes()
+                                  : std::uint64_t{topo.width} * topo.height;
+  if (nodes >= kKeys)
+    return "fabric has " + std::to_string(nodes) +
+           " nodes, more than a 32-bit node id can name";
+  const std::uint64_t units = nodes * kNumDirections * router.num_vcs;
+  if (units > kKeys)
+    return "fabric has " + std::to_string(units) +
+           " (node, port, VC) units, more than the 32-bit unit key holds";
   if (topo.kind == TopologySpec::Kind::kTorus) {
     if (router.num_vcs < 2)
       return "torus requires >= 2 VC classes (dateline rule)";

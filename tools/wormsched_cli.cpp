@@ -24,6 +24,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -627,6 +628,29 @@ wormhole::PatternSpec::Kind pattern_kind(const std::string& name) {
                               : Kind::kUniform;
 }
 
+/// `network --trace-in` replays one trace through a bare fabric: it has
+/// no seed sweep, checkpoint, auditor, fault model, event trace or
+/// manifest, so asking for any of them exits 2 rather than being ignored.
+void reject_trace_in_wiring(const CliParser& cli) {
+  const std::pair<const char*, bool> wiring[] = {
+      {"seeds", cli.get_uint("seeds") > 1},
+      {"restore", !cli.get("restore").empty()},
+      {"checkpoint", !cli.get("checkpoint").empty()},
+      {"checkpoint-every", cli.get_uint("checkpoint-every") > 0},
+      {"audit", cli.get("audit") != "off"},
+      {"faults", cli.get_flag("faults")},
+      {"trace", !cli.get("trace").empty()},
+      {"trace-csv", !cli.get("trace-csv").empty()},
+      {"manifest", !cli.get("manifest").empty()},
+  };
+  for (const auto& [name, given] : wiring) {
+    if (!given) continue;
+    std::fprintf(stderr, "option --%s: not supported with --trace-in\n",
+                 name);
+    std::exit(2);
+  }
+}
+
 int cmd_network(int argc, const char* const* argv) {
   CliParser cli(
       "drive a wormhole mesh/torus/fat-tree with synthetic traffic");
@@ -693,16 +717,12 @@ int cmd_network(int argc, const char* const* argv) {
     return 1;
   }
   point.trace = *trace_request;
+  const std::string trace_in = cli.get("trace-in");
+  if (!trace_in.empty()) reject_trace_in_wiring(cli);
   if (point.faults.enabled)
     std::printf("%s\n", point.faults.describe().c_str());
 
-  const std::string trace_in = cli.get("trace-in");
   if (!trace_in.empty()) {
-    if (cli.get_uint("seeds") > 1 || !cli.get("restore").empty()) {
-      std::fprintf(stderr,
-                   "--trace-in supports a single run (no --seeds/--restore)\n");
-      return 1;
-    }
     int exit_code = 1;
     const auto loaded = load_trace_any(trace_in, &exit_code);
     if (!loaded) return exit_code;
