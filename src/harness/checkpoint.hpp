@@ -197,6 +197,8 @@ class ScenarioRun {
   /// checkpointed: its SCFG section could not rebuild the trace.
   ScenarioRun(std::string_view scheduler, const ScenarioConfig& config,
               const traffic::Trace& trace);
+  ScenarioRun(std::string_view, const ScenarioConfig&,
+              traffic::Trace&&) = delete;  // would dangle
 
   /// Restored run: the sim-defining parts of the spec (scheduler,
   /// workload, horizon, drain, seed, weights, faults) are read from the
