@@ -403,63 +403,6 @@ NetworkScenarioResult NetworkRun::finish() {
 
 /// --- ScenarioRun ----------------------------------------------------------
 
-namespace {
-
-/// Records head-flit instants and the largest served packet.
-class RunProbe final : public core::SchedulerObserver {
- public:
-  explicit RunProbe(ScenarioResult& result) : result_(result) {}
-
-  void on_flit(Cycle now, const core::FlitEvent& flit) override {
-    if (flit.is_head) result_.service_starts.push_back(now);
-  }
-  void on_packet_departure(Cycle, const core::Packet& packet) override {
-    result_.max_served_packet =
-        std::max(result_.max_served_packet, packet.length);
-  }
-
- private:
-  ScenarioResult& result_;
-};
-
-/// Mirrors scheduler decisions into the trace sink.  For ERR schedulers a
-/// dequeue carries the serving flow's allowance and surplus count at the
-/// decision instant (both 0 for other disciplines).
-class TraceObserver final : public core::SchedulerObserver {
- public:
-  TraceObserver(obs::TraceSink& sink, const core::ErrScheduler* err)
-      : sink_(sink), err_(err) {}
-
-  void on_packet_arrival(Cycle now, const core::Packet& p) override {
-    sink_.record(obs::TraceEvent::packet_enqueue(now, p.flow.value(),
-                                                 p.id.value(), p.length));
-  }
-  void on_packet_departure(Cycle now, const core::Packet& p) override {
-    double allowance = 0.0;
-    double surplus = 0.0;
-    if (err_ != nullptr) {
-      allowance = err_->policy().allowance();
-      surplus = err_->policy().surplus_count(p.flow);
-    }
-    sink_.record(obs::TraceEvent::packet_dequeue(
-        now, p.flow.value(), p.id.value(), p.length, allowance, surplus));
-  }
-
- private:
-  obs::TraceSink& sink_;
-  const core::ErrScheduler* err_;
-};
-
-}  // namespace
-
-struct ScenarioRun::Observers {
-  explicit Observers(ScenarioResult& result) : probe(result) {}
-
-  RunProbe probe;
-  std::optional<TraceObserver> trace_observer;
-  metrics::ObserverChain chain;
-};
-
 ScenarioRun::ScenarioRun(const ScenarioSpec& spec) : spec_(spec) {
   original_seed_ = spec_.config.seed;
   build_trace();
@@ -562,6 +505,7 @@ void ScenarioRun::build() {
   // Runtime invariant auditing: ERR schedulers publish their opportunity
   // stream, which the auditor re-checks against the paper's bounds live.
   auto* err = dynamic_cast<core::ErrScheduler*>(scheduler_.get());
+  err_ = err;
   if (spec_.config.audit && err != nullptr) {
     validate::AuditLog* log = spec_.config.audit_log;
     if (log == nullptr) log = &local_log_.emplace();
@@ -592,13 +536,37 @@ void ScenarioRun::build() {
         });
   }
 
-  observers_ = std::make_unique<Observers>(*result_);
-  observers_->chain.add(result_->service_log);
-  observers_->chain.add(result_->delays);
-  observers_->chain.add(observers_->probe);
+  chain_.add(result_->service_log);
+  chain_.add(result_->delays);
+  chain_.add(*this);
+  scheduler_->set_observer(&chain_);
+}
+
+void ScenarioRun::on_packet_arrival(Cycle now, const core::Packet& p) {
+  obs::TraceSink* sink = spec_.config.trace;
   if (sink != nullptr)
-    observers_->chain.add(observers_->trace_observer.emplace(*sink, err));
-  scheduler_->set_observer(&observers_->chain);
+    sink->record(obs::TraceEvent::packet_enqueue(now, p.flow.value(),
+                                                 p.id.value(), p.length));
+}
+
+void ScenarioRun::on_flit(Cycle now, const core::FlitEvent& flit) {
+  if (flit.is_head) result_->service_starts.push_back(now);
+}
+
+void ScenarioRun::on_packet_departure(Cycle now, const core::Packet& p) {
+  result_->max_served_packet = std::max(result_->max_served_packet, p.length);
+  obs::TraceSink* sink = spec_.config.trace;
+  if (sink == nullptr) return;
+  // An ERR dequeue carries the serving flow's allowance and surplus count
+  // at the decision instant (both 0 for other disciplines).
+  double allowance = 0.0;
+  double surplus = 0.0;
+  if (err_ != nullptr) {
+    allowance = err_->policy().allowance();
+    surplus = err_->policy().surplus_count(p.flow);
+  }
+  sink->record(obs::TraceEvent::packet_dequeue(
+      now, p.flow.value(), p.id.value(), p.length, allowance, surplus));
 }
 
 void ScenarioRun::advance_to(Cycle target) {

@@ -39,8 +39,11 @@
 
 #include "common/snapshot.hpp"
 #include "common/types.hpp"
+#include "core/err.hpp"
+#include "core/scheduler.hpp"
 #include "harness/network_sweep.hpp"
 #include "harness/scenario.hpp"
+#include "metrics/delay.hpp"
 #include "obs/trace_export.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/engine.hpp"
@@ -184,8 +187,11 @@ struct ScenarioSpec {
 
 /// Resumable standalone-scheduler run: the one replay loop behind both
 /// the checkpointable CLI runs and run_scenario(), its single-segment
-/// trace-supplied case.
-class ScenarioRun {
+/// trace-supplied case.  The scheduler's observer chain feeds the
+/// result's service log and delay statistics, then the run itself, which
+/// records service starts and the largest served packet and mirrors
+/// decisions into the trace sink.
+class ScenarioRun final : private core::SchedulerObserver {
  public:
   /// Fresh run: expands `spec.workload_text`, generates the trace with
   /// `spec.config.seed`, applies trace faults.
@@ -205,7 +211,7 @@ class ScenarioRun {
   /// checkpoint; `wiring` contributes only audit/trace attachments.
   ScenarioRun(const ScenarioSpec& wiring, const SnapshotFile& file);
 
-  ~ScenarioRun();
+  ~ScenarioRun() override;
   ScenarioRun(const ScenarioRun&) = delete;
   ScenarioRun& operator=(const ScenarioRun&) = delete;
 
@@ -233,8 +239,12 @@ class ScenarioRun {
   /// Expands spec_.workload_text into owned_trace_ (fresh and restored
   /// workload runs).
   void build_trace();
-  /// Scheduler, result, auditor and observers over *trace_.
+  /// Scheduler, result, auditor and trace listener over *trace_.
   void build();
+
+  void on_packet_arrival(Cycle now, const core::Packet& p) override;
+  void on_flit(Cycle now, const core::FlitEvent& flit) override;
+  void on_packet_departure(Cycle now, const core::Packet& p) override;
 
   ScenarioSpec spec_;
   traffic::Trace owned_trace_;  // empty for trace-supplied runs
@@ -244,10 +254,8 @@ class ScenarioRun {
   std::optional<validate::AuditLog> local_log_;
   std::optional<validate::ErrAuditor> auditor_;
   std::size_t trace_round_ = 0;
-
-  // Observer plumbing (stable addresses; scheduler_ holds the chain).
-  struct Observers;
-  std::unique_ptr<Observers> observers_;
+  const core::ErrScheduler* err_ = nullptr;  // scheduler_ when it is ERR
+  metrics::ObserverChain chain_;
 
   std::size_t next_arrival_ = 0;
   PacketId::rep_type next_packet_id_ = 0;
