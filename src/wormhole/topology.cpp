@@ -1,7 +1,6 @@
 #include "wormhole/topology.hpp"
 
 #include <charconv>
-#include <limits>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -99,11 +98,6 @@ std::optional<TopologySpec> parse_topology_spec(const std::string& text,
     return fail("malformed <W>x<H> dimensions in '" + text + "'");
   if (spec.width == 0 || spec.height == 0)
     return fail("topology dimensions must be non-zero in '" + text + "'");
-  // Node ids and num_nodes() are 32-bit.
-  if (std::uint64_t{spec.width} * spec.height >
-      std::numeric_limits<std::uint32_t>::max())
-    return fail("topology '" + text + "' has more nodes than a 32-bit node "
-                "id can name");
   if (spec.kind == TopologySpec::Kind::kTorus &&
       (spec.width < 2 || spec.height < 2))
     return fail("torus needs at least 2 nodes per dimension in '" + text +

@@ -322,6 +322,27 @@ TEST(NetworkConfigValidate, ReportsEachViolation) {
               c.routing = NetworkConfig::Routing::kWestFirst;
             }),
             "west-first routing is mesh-only");
+  // Fabric size: node ids and the (node, port, VC) unit keys are 32-bit.
+  EXPECT_EQ(error_with([](NetworkConfig& c) {
+              c.topo = TopologySpec::mesh(65536, 65536);
+            }),
+            "fabric has 4294967296 nodes, more than a 32-bit node id can name");
+  EXPECT_EQ(error_with([](NetworkConfig& c) {
+              c.topo = TopologySpec::mesh(60000, 60000);
+            }),
+            "fabric has 36000000000 (node, port, VC) units, more than the "
+            "32-bit unit key holds");
+  EXPECT_EQ(error_with([](NetworkConfig& c) {
+              c.topo = TopologySpec::mesh(65536, 13107);  // 2^32 - 65536 units
+              c.router.num_vcs = 1;
+            }),
+            "");
+  EXPECT_EQ(error_with([](NetworkConfig& c) {
+              c.topo = TopologySpec::mesh(65536, 13108);  // 2^32 + 262144 units
+              c.router.num_vcs = 1;
+            }),
+            "fabric has 4295229440 (node, port, VC) units, more than the "
+            "32-bit unit key holds");
 }
 
 // On/off watermarks are checked as the Network will resolve them: an
